@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket trace bench bench-report bench-guard bench-quick bench-scale bench-claims bench-tables bench-comm bench-wire bench-parallel perf-smoke clean
+.PHONY: test lint lint-baseline analyze sanitize smoke-asyncio smoke-socket trace bench bench-report bench-guard bench-quick bench-scale bench-claims bench-tables bench-comm bench-wire bench-parallel perf-smoke perfbench perfbench-check clean
 
 ## Tier-1: unit + integration tests (includes the quick perf smoke and
 ## the backend smokes, markers: asyncio_smoke, socket_smoke).
@@ -124,6 +124,17 @@ bench-tables:
 ## Just the event-core perf benchmarks (marker: perf).
 perf-smoke:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only -m perf
+
+## The request-path benchmark (BENCHMARK.json, perfbench/README.md):
+## every workload at seed 1 for 10 seconds each; the last output line is
+## one JSON record with "correct" and the end-to-end metrics.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 10
+
+## The benchmark's own tests: tiny smokes, schema, determinism gate and
+## the sanitizer pass.
+perfbench-check:
+	$(PYTHON) -m pytest perfbench -q
 
 clean:
 	rm -rf .pytest_cache .benchmarks

@@ -179,6 +179,11 @@ class TreecastParticipant:
         self._relay_expect: Dict[str, int] = {}
         self._leaf_parent: Dict[str, Address] = {}
         self._seen: Set[str] = set()
+        # Broadcast ids whose commit this participant has handled.  A
+        # relay is the coordinator of its own first leaf target, so its
+        # forward reaches itself; without this guard the commit would
+        # circle back forever.
+        self._committed: Set[str] = set()
 
         self.node.on(TreeCastRelay, self._on_relay)
         self.node.on(TreeCastLeaf, self._on_leaf_cast)
@@ -251,6 +256,9 @@ class TreecastParticipant:
 
     def _on_commit(self, commit: TreeCommit, sender: Address) -> None:
         bid = commit.broadcast_id
+        if bid in self._committed:
+            return
+        self._committed.add(bid)
         entry = self._relay_children.get(bid)
         if entry is not None:
             spec, targets, _parent = entry

@@ -130,6 +130,11 @@ class LanLatency(LatencyModel):
         self.base = base
         self.per_byte = per_byte
         self.jitter = jitter
+        # uniform(lo, hi) is lo + (hi - lo) * random(); precomputing both
+        # terms exactly as Random.uniform does keeps every draw
+        # bit-identical while the per-datagram sample makes one C call.
+        self._lo = 1.0 - jitter
+        self._span = (1.0 + jitter) - (1.0 - jitter)
 
     def floor(self) -> float:
         return self.base * (1.0 - self.jitter)
@@ -140,4 +145,4 @@ class LanLatency(LatencyModel):
         nominal = self.base + self.per_byte * size_bytes
         if self.jitter == 0:
             return nominal
-        return nominal * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        return nominal * (self._lo + self._span * rng.random())

@@ -20,12 +20,16 @@ Semantics:
     as Ethernet", paper §2): one wire packet regardless of k.
 
   Logical message counts (one per destination) are identical in both modes;
-  only wire-packet counts differ.
+  only wire-packet counts differ.  Both go through the one datagram path
+  behind :meth:`Network.send`, so a multicast to k destinations is
+  exactly k unicasts apart from the wire-packet count.
+* Each datagram in flight is one handle-free ``post`` on the sim
+  scheduler: one plain heap entry from send to delivery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import (
@@ -49,9 +53,9 @@ class Network:
     The network is engine-agnostic: it reads the clock and defers
     deliveries through a :class:`~repro.runtime.api.MessageFabric`
     (by default the engine's own :class:`~repro.runtime.api.
-    TimerService`, which under the sim backend is the Scheduler itself —
-    the PR-1 hot path unchanged).  The asyncio backend binds its
-    in-flight-counting fabric here instead.
+    TimerService`, which under the sim backend is the Scheduler itself,
+    posting each delivery as one plain heap entry).  The asyncio backend
+    binds its in-flight-counting fabric here instead.
     """
 
     def __init__(
@@ -107,16 +111,15 @@ class Network:
         # hook below is guarded by one attribute load + None check, which
         # is the entire disabled-path cost.
         self.trace = None
-        # Batched dispatch (docs/simulator.md): when the fabric offers
-        # bucketed scheduling (the sim scheduler's at_call_grouped), all
-        # deliveries sharing a timestamp drain through one heap pop and
-        # one _deliver_batch fan-out.  The asyncio fabric doesn't, and
-        # falls back to one at_call per datagram.  The fan-out callback
-        # is bound ONCE here: bucket matching is by identity
-        # (``bucket.fn is fn``), and a fresh ``self._deliver_batch``
-        # bound-method object per send would seal the bucket every time.
-        self._group = getattr(self._fabric, "at_call_grouped", None)
-        self._fan_out = self._deliver_batch
+        # Deliveries go out through the fabric's handle-free ``post``
+        # when it has one (the sim scheduler: one plain heap entry per
+        # datagram, tie buckets on equal timestamps); the asyncio and
+        # socket fabrics fall back to ``at_call``.  The delivery callback
+        # is bound ONCE here: the scheduler matches ties by identity
+        # (``fn is fn``), and a fresh ``self._deliver`` bound-method
+        # object per send would never tie.
+        self._post = getattr(self._fabric, "post", self._fabric.at_call)
+        self._deliver_fn = self._deliver
         # Envelope free list: a delivered (or dropped-in-transmit)
         # envelope is recycled for the next datagram, so the steady-state
         # send path allocates no envelope objects.  Anything that may
@@ -203,133 +206,11 @@ class Network:
 
     # -- sending -------------------------------------------------------------
 
-    def send(
-        self, src: Address, dst: Address, payload: Any, wire_packets: int = 1
-    ) -> bool:
-        """Send one datagram; counts one logical message + one wire packet
-        (hardware multicast passes ``wire_packets=0`` and accounts for the
-        shared packet itself).  Returns True if the datagram reached the
-        latency stage, i.e. was actually put in flight rather than
-        partitioned or lost.
-
-        This is the hottest function in any run, so it trades a little
-        repetition for speed: the payload meta lookup and the stats
-        bookkeeping (``NetworkStats.record_send`` — keep the two in
-        lockstep) are inlined, the envelope is drawn from the free list,
-        and delivery is scheduled through the fabric's grouped bucket
-        when it offers one.
-        """
-        try:
-            category, size = _META_CACHE[payload.__class__]
-            if category is None:
-                category = payload.category
-            if size is None:
-                size = int(payload.size_bytes)
-        except KeyError:
-            category, size = payload_meta(payload)  # cold: registers class
-        total = size + HEADER_BYTES
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += total
-        # Counter bumps use try/except rather than dict.get: after the
-        # first datagram of a (category, sender) the key always exists,
-        # so the exception path never runs in steady state and the
-        # bound-method call per counter is saved.
-        by_category = stats.by_category
-        try:
-            by_category[category] += 1
-        except KeyError:
-            by_category[category] = 1
-        bytes_by_category = stats.bytes_by_category
-        try:
-            bytes_by_category[category] += total
-        except KeyError:
-            bytes_by_category[category] = total
-        sent_by = stats.sent_by
-        try:
-            sent_by[src] += 1
-        except KeyError:
-            sent_by[src] = 1
-        packer = self._packer
-        if wire_packets and packer is None:
-            stats.wire_packets += wire_packets
-        fabric = self._fabric
-        now = fabric.now
-        pool = self._env_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.src = src
-            envelope.dst = dst
-            envelope.payload = payload
-            envelope.send_time = now
-            envelope.deliver_time = 0.0
-            envelope.size_bytes = size
-        else:
-            self._fresh_envelopes += 1
-            envelope = Envelope(src, dst, payload, now, 0.0, size)
-        taps = self._send_taps
-        if taps:
-            for fn in taps:
-                fn("send", envelope)
-        trace = self.trace
-        if trace is not None:
-            trace.on_send(envelope, category)
-        partitions = self.partitions
-        if partitions.active and not partitions.reachable(src, dst):
-            self._drop(envelope)
-            self._recycle(envelope)
-            return False
-        rng = self._rng
-        # The probability pre-checks are stream-neutral: SimRandom.chance
-        # draws nothing when p <= 0, so skipping the call entirely leaves
-        # the RNG stream byte-identical on lossless runs.
-        if self.drop_probability and rng.chance(self.drop_probability):
-            self._drop(envelope)
-            self._recycle(envelope)
-            return False
-        duplicate_probability = self.duplicate_probability
-        if wire_packets and packer is not None:
-            # Packing on: hold the datagram for the pack window; wire
-            # accounting and the (single, shared) latency draw happen at
-            # flush.  Partition/loss above stay per logical message, so
-            # delivery semantics are untouched.  The packer retains the
-            # envelope until flush, so nothing is recycled here.
-            packer.enqueue(envelope)
-            if duplicate_probability and rng.chance(duplicate_probability):
-                self._fresh_envelopes += 1
-                duplicate = Envelope(src, dst, payload, now, 0.0, size)
-                duplicate.trace = envelope.trace
-                packer.enqueue(duplicate)
-            return True
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._latency.sample(rng, src, dst, total)
-        deliver_time = now + delay
-        envelope.deliver_time = deliver_time
-        group = self._group
-        if group is not None:
-            # Sim fabric: all deliveries landing on one timestamp drain
-            # through a single heap pop and one _deliver_batch fan-out.
-            # ``dst`` is the locality key for the sharded engine.
-            group(deliver_time, self._fan_out, envelope, dst)
-        else:
-            fabric.at_call(deliver_time, self._deliver, envelope)
-        if duplicate_probability and rng.chance(duplicate_probability):
-            # The duplicate gets its own latency draw and envelope (the
-            # two copies are independently in flight).
-            delay = self._latency.sample(rng, src, dst, total)
-            self._fresh_envelopes += 1
-            duplicate = Envelope(src, dst, payload, now, now + delay, size)
-            # Both copies stem from the same logical send span.
-            duplicate.trace = envelope.trace
-            if group is not None:
-                group(duplicate.deliver_time, self._fan_out, duplicate, dst)
-            else:
-                fabric.at_call(duplicate.deliver_time, self._deliver, duplicate)
-        return True
-
-    # Historical internal name, kept for symmetry with older call sites.
-    _transmit = send
+    def send(self, src: Address, dst: Address, payload: Any) -> bool:
+        """Send one datagram; counts one logical message + one wire packet.
+        Returns True if the datagram reached the latency stage, i.e. was
+        actually put in flight rather than partitioned or lost."""
+        return self._transmit(src, (dst,), payload, False)
 
     def multicast(self, src: Address, dsts: Iterable[Address], payload: Any) -> None:
         """Send the same payload to several destinations.
@@ -341,19 +222,134 @@ class Network:
         it onto the wire).
         """
         dst_list = list(dsts)
-        if not dst_list:
-            return
-        send = self.send
-        if self.hardware_multicast:
-            reached = False
-            for dst in dst_list:
-                if send(src, dst, payload, 0):
-                    reached = True
-            if reached:
-                self.stats.record_wire(1)
+        if dst_list:
+            self._transmit(src, dst_list, payload, self.hardware_multicast)
+
+    def _transmit(
+        self, src: Address, dsts: Sequence[Address], payload: Any, shared: bool
+    ) -> bool:
+        """The one datagram path behind :meth:`send` and :meth:`multicast`.
+
+        Accounting runs once for all ``k`` destinations (``NetworkStats.
+        record_send`` inlined — keep the two in lockstep).  Then, per
+        destination and in this order: envelope, send taps, trace,
+        partition, loss, latency draw, post, duplicate.  ``shared``
+        (hardware multicast) puts a single wire packet on the wire for the
+        whole call, counted only if some copy reached the latency stage,
+        and bypasses the packer.  Returns whether any copy reached the
+        latency stage.
+        """
+        try:
+            category, size = _META_CACHE[payload.__class__]
+            if category is None:
+                category = payload.category
+            if size is None:
+                size = int(payload.size_bytes)
+        except KeyError:
+            category, size = payload_meta(payload)  # cold: registers class
+        total = size + HEADER_BYTES
+        k = len(dsts)
+        stats = self.stats
+        stats.messages += k
+        stats.bytes += k * total
+        # Counter bumps use try/except rather than dict.get: after the
+        # first datagram of a (category, sender) the key always exists,
+        # so the exception path never runs in steady state and the
+        # bound-method call per counter is saved.
+        by_category = stats.by_category
+        try:
+            by_category[category] += k
+        except KeyError:
+            by_category[category] = k
+        bytes_by_category = stats.bytes_by_category
+        try:
+            bytes_by_category[category] += k * total
+        except KeyError:
+            bytes_by_category[category] = k * total
+        sent_by = stats.sent_by
+        try:
+            sent_by[src] += k
+        except KeyError:
+            sent_by[src] = k
+        if shared:
+            packer = None
         else:
-            for dst in dst_list:
-                send(src, dst, payload, 1)
+            packer = self._packer
+            if packer is None:
+                stats.wire_packets += k
+        now = self._fabric.now
+        pool = self._env_pool
+        taps = self._send_taps
+        trace = self.trace
+        partitions = self.partitions
+        rng = self._rng
+        fixed_delay = self._fixed_delay
+        post = self._post
+        deliver = self._deliver_fn
+        reached = False
+        for dst in dsts:
+            if pool:
+                envelope = pool.pop()
+                envelope.src = src
+                envelope.dst = dst
+                envelope.payload = payload
+                envelope.send_time = now
+                envelope.deliver_time = 0.0
+                envelope.size_bytes = size
+            else:
+                self._fresh_envelopes += 1
+                envelope = Envelope(src, dst, payload, now, 0.0, size)
+            if taps:
+                for fn in taps:
+                    fn("send", envelope)
+            if trace is not None:
+                trace.on_send(envelope, category)
+            # The probability pre-checks are stream-neutral:
+            # SimRandom.chance draws nothing when p <= 0, so skipping the
+            # call leaves the RNG stream byte-identical on lossless runs.
+            if (partitions.active and not partitions.reachable(src, dst)) or (
+                self.drop_probability and rng.chance(self.drop_probability)
+            ):
+                self._drop(envelope)
+                self._recycle(envelope)
+                continue
+            reached = True
+            if packer is not None:
+                # Packing on: hold the datagram for the pack window; wire
+                # accounting and the (single, shared) latency draw happen
+                # at flush.  Partition/loss above stay per logical
+                # message, so delivery semantics are untouched.  The
+                # packer retains the envelope until flush, so nothing is
+                # recycled here.
+                packer.enqueue(envelope)
+                if self.duplicate_probability and rng.chance(
+                    self.duplicate_probability
+                ):
+                    self._fresh_envelopes += 1
+                    duplicate = Envelope(src, dst, payload, now, 0.0, size)
+                    duplicate.trace = envelope.trace
+                    packer.enqueue(duplicate)
+                continue
+            if fixed_delay is None:
+                deliver_time = now + self._latency.sample(rng, src, dst, total)
+            else:
+                deliver_time = now + fixed_delay
+            envelope.deliver_time = deliver_time
+            post(deliver_time, deliver, envelope)
+            if self.duplicate_probability and rng.chance(
+                self.duplicate_probability
+            ):
+                # The duplicate gets its own latency draw and envelope
+                # (the two copies are independently in flight).
+                delay = self._latency.sample(rng, src, dst, total)
+                self._fresh_envelopes += 1
+                duplicate = Envelope(src, dst, payload, now, now + delay, size)
+                # Both copies stem from the same logical send span.
+                duplicate.trace = envelope.trace
+                post(duplicate.deliver_time, deliver, duplicate)
+        if shared and reached:
+            stats.wire_packets += 1
+        return reached
 
     def _flush_packed(
         self, src: Address, dst: Address, envelopes: list
@@ -369,15 +365,14 @@ class Network:
             total += envelope.size_bytes
         if count > 1:
             stats.record_packed(count, (count - 1) * HEADER_BYTES)
-        fabric = self._fabric
         delay = self._latency.sample(self._rng, src, dst, total)
-        deliver_time = fabric.now + delay
+        deliver_time = self._fabric.now + delay
         for envelope in envelopes:
             envelope.deliver_time = deliver_time
         if count == 1:
-            fabric.at_call(deliver_time, self._deliver, envelopes[0])
+            self._post(deliver_time, self._deliver_fn, envelopes[0])
         else:
-            fabric.at_call(deliver_time, self._deliver_packed, envelopes)
+            self._post(deliver_time, self._deliver_packed, envelopes)
 
     def _deliver_packed(self, envelopes: list) -> None:
         # Unpack: each coalesced datagram keeps its own envelope (and its
@@ -405,48 +400,6 @@ class Network:
         envelope.trace = None
         self._env_pool.append(envelope)
 
-    def _deliver_batch(self, envelopes: list) -> None:
-        """Fan a bucket of same-timestamp deliveries out of one event.
-
-        The scheduler's grouped bucket preserves exact per-call (time,
-        seq) order, so iterating the list here delivers in precisely the
-        order individual ``at_call`` events would have — taps, stats and
-        digests are byte-identical.  Endpoint table, stats recorder and
-        tap/trace guards are hoisted once per bucket instead of loaded
-        per delivery.
-        """
-        endpoints = self._endpoints
-        received_by = self.stats.received_by
-        taps = self._deliver_taps
-        trace = self.trace
-        pool = self._env_pool
-        for envelope in envelopes:
-            dst = envelope.dst
-            deliver = endpoints.get(dst)
-            if deliver is None:
-                self._drop(envelope)
-            else:
-                # record_delivery, inlined (try/except: the key exists
-                # after the destination's first delivery).
-                try:
-                    received_by[dst] += 1
-                except KeyError:
-                    received_by[dst] = 1
-                if taps:
-                    for fn in taps:
-                        fn("deliver", envelope)
-                if trace is None:
-                    deliver(envelope)
-                else:
-                    token = trace.on_deliver_begin(envelope)
-                    try:
-                        deliver(envelope)
-                    finally:
-                        trace.on_deliver_end(token)
-            envelope.payload = None
-            envelope.trace = None
-            pool.append(envelope)
-
     def deliver_inbound(self, envelope: Envelope) -> None:
         """Deliver a datagram that arrived from a remote fabric (the
         socket backend's receive path).  Runs the normal local delivery
@@ -456,26 +409,37 @@ class Network:
         self._deliver(envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
-        deliver = self._endpoints.get(envelope.dst)
-        if deliver is None:
+        """Hand one datagram to its endpoint: stats, deliver taps, trace
+        span, dispatch — then recycle the envelope.  The per-datagram
+        delivery callback on every engine."""
+        dst = envelope.dst
+        try:
+            deliver = self._endpoints[dst]
+        except KeyError:
             # Destination crashed or never existed; the datagram vanishes,
             # exactly as on a real LAN.
             self._drop(envelope)
-            self._recycle(envelope)
-            return
-        self.stats.record_delivery(envelope.dst)
-        taps = self._deliver_taps
-        if taps:
-            for fn in taps:
-                fn("deliver", envelope)
-        trace = self.trace
-        if trace is None:
-            deliver(envelope)
-            self._recycle(envelope)
-            return
-        token = trace.on_deliver_begin(envelope)
-        try:
-            deliver(envelope)
-        finally:
-            trace.on_deliver_end(token)
-        self._recycle(envelope)
+        else:
+            # record_delivery, inlined (try/except: the key exists after
+            # the destination's first delivery).
+            received_by = self.stats.received_by
+            try:
+                received_by[dst] += 1
+            except KeyError:
+                received_by[dst] = 1
+            taps = self._deliver_taps
+            if taps:
+                for fn in taps:
+                    fn("deliver", envelope)
+            trace = self.trace
+            if trace is None:
+                deliver(envelope)
+            else:
+                token = trace.on_deliver_begin(envelope)
+                try:
+                    deliver(envelope)
+                finally:
+                    trace.on_deliver_end(token)
+        envelope.payload = None
+        envelope.trace = None
+        self._env_pool.append(envelope)

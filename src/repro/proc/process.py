@@ -87,13 +87,11 @@ class Timer:
             # tick, exactly as the closure-per-tick implementation did).
             self._process.env.scheduler.rearm(self._handle, self._delay)
         else:
-            # A fired one-shot timer is dead: mark it cancelled so the
-            # owner's prune sweep can drop it (and so cancel() never
-            # touches the now-recycled engine handle).  Timer-heavy
-            # features (delayed acks) create thousands of one-shots per
-            # process; without this they survive every prune and the
-            # sweep goes quadratic.
+            # A fired one-shot timer is dead: mark it cancelled (so
+            # cancel() never touches the now-recycled engine handle) and
+            # leave the owner's live set.
             self._cancelled = True
+            self._process._timers.pop(self, None)
         self._fn()
 
     def cancel(self) -> None:
@@ -103,6 +101,7 @@ class Timer:
         if self._cancelled:
             return
         self._cancelled = True
+        self._process._timers.pop(self, None)
         if self._handle is not None:
             self._handle.cancel()
 
@@ -124,7 +123,11 @@ class Process:
         # to discard channel state belonging to a dead incarnation.
         self.incarnation = 0
         self._handlers: Dict[Type, Handler] = {}
-        self._timers: List[Timer] = []
+        # Live timers, in creation order (a dict used as an ordered
+        # set): a timer leaves it when it is cancelled or, if one-shot,
+        # fires — so crash() cancels exactly the live ones and nothing
+        # dead is ever swept or retained.
+        self._timers: Dict[Timer, None] = {}
         self._recover_listeners: List[Callable[[], None]] = []
         self._traffic_listeners: List[Callable[[Address], None]] = []
         self._unhandled: List[Any] = []
@@ -149,7 +152,7 @@ class Process:
     def multicast(self, dsts: Iterable[Address], payload: Any) -> None:
         if not self.alive:
             return
-        self._network.multicast(self.address, list(dsts), payload)
+        self._network.multicast(self.address, dsts, payload)
 
     def on(self, payload_type: Type, handler: Handler) -> None:
         """Register ``handler(payload, sender)`` for a payload class."""
@@ -206,20 +209,14 @@ class Process:
     def set_timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` once after ``delay`` (unless crashed or cancelled)."""
         timer = Timer(self, delay, fn, periodic=False)
-        self._timers.append(timer)
-        self._prune_timers()
+        self._timers[timer] = None
         return timer
 
     def every(self, interval: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` every ``interval`` until cancelled or crash."""
         timer = Timer(self, interval, fn, periodic=True)
-        self._timers.append(timer)
-        self._prune_timers()
+        self._timers[timer] = None
         return timer
-
-    def _prune_timers(self) -> None:
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if not t.cancelled]
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -229,9 +226,9 @@ class Process:
             return
         self.alive = False
         self.env.network.unregister(self.address)
-        for timer in self._timers:
+        timers, self._timers = self._timers, {}
+        for timer in timers:
             timer.cancel()
-        self._timers = []
         self.on_crash()
         self.env.notify_crash(self.address)
 

@@ -112,6 +112,9 @@ class MessageFabric(Protocol):
     latency) and hands the envelope to the fabric; the fabric invokes
     ``fn(arg)`` at that deadline.  The sim fabric *is* the scheduler;
     the asyncio fabric adds in-flight accounting on top of the loop.
+    A fabric may also offer ``post(time, fn, arg)`` — the same call
+    without a handle, which the sim scheduler makes one plain heap
+    entry; the network uses it when present and ``at_call`` otherwise.
     """
 
     @property

@@ -15,10 +15,10 @@ SocketFabric` exactly — ``arg.__class__ is Envelope`` (or a packer
 flush, a list of them) with a remote destination — so sim, socket and
 parallel backends intercept at the identical point in the network's
 send path.  Everything else (timers, packer flushes, local deliveries)
-delegates to the scheduler unchanged, including the grouped
-same-timestamp bucket path, which keeps local batched dispatch — and
-therefore the frozen per-partition delivery digests — byte-identical
-to a plain sharded run of the same partition slice.
+delegates to the scheduler unchanged, including the handle-free
+``post`` path and its same-timestamp tie buckets, which keeps the frozen
+per-partition delivery digests byte-identical to a plain run of the
+same partition slice.
 """
 
 from __future__ import annotations
@@ -73,37 +73,34 @@ class PartitionFabric:
     def now(self) -> float:
         return self._scheduler.now
 
-    def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> Any:
+    def _capture(self, arg: Any) -> bool:
+        """Move ``arg`` into the outbox if it is bound for another
+        partition: one envelope, or a packer flush (one destination, many
+        envelopes, each already stamped with its deliver time)."""
         cls = arg.__class__
         if cls is Envelope:
             if self._is_remote(arg.dst):
                 self._outbox.append(arg)
                 self.captured += 1
-                return None
+                return True
         elif cls is list and arg and arg[0].__class__ is Envelope:
-            # A packer flush: one destination, many envelopes — captured
-            # individually, each already stamped with its deliver time.
             if self._is_remote(arg[0].dst):
                 self._outbox.extend(arg)
                 self.captured += len(arg)
-                return None
+                return True
+        return False
+
+    def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> Any:
+        if self._capture(arg):
+            return None
         return self._scheduler.at_call(time, fn, arg)
 
-    def at_call_grouped(
-        self,
-        time: float,
-        fn: Callable[[Any], None],
-        arg: Any,
-        key: Any = None,
-    ) -> None:
-        """The network's batched-dispatch path: local deliveries keep the
-        scheduler's same-timestamp bucket (and its exact FIFO order);
-        remote ones are captured before any event exists for them."""
-        if arg.__class__ is Envelope and self._is_remote(arg.dst):
-            self._outbox.append(arg)
-            self.captured += 1
-            return
-        self._scheduler.at_call_grouped(time, fn, arg, key=key)
+    def post(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """The network's delivery path: local deliveries keep the
+        scheduler's handle-free post (and its tie buckets); remote ones
+        are captured before any heap entry exists for them."""
+        if not self._capture(arg):
+            self._scheduler.post(time, fn, arg)
 
     # -- window-barrier seam -------------------------------------------------
 

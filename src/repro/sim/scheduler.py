@@ -9,39 +9,45 @@ a given seed and workload.
 The scheduler deliberately knows nothing about networks or processes; it is
 a minimal priority-queue event loop that the rest of the library composes.
 
-Performance notes (see docs/simulator.md, "Sharded scheduler & allocation
-discipline"):
+Performance notes (see docs/simulator.md, "Event-loop internals &
+performance"):
 
-* Heap entries are plain ``(time, seq, event)`` tuples.  ``(time, seq)``
-  is unique per entry, so every heap sift comparison resolves inside the
-  C tuple-compare loop without ever calling back into Python — roughly
-  3x cheaper than ordering ``__lt__``-bearing event objects.
-* :meth:`Scheduler.at_call` / :meth:`after_call` carry a single argument
-  alongside the callback, letting hot callers avoid allocating a closure
-  per event.  The event object doubles as its own cancellation handle.
-* :meth:`Scheduler.at_call_grouped` batches same-timestamp calls to the
-  same function into one *bucket*: one heap entry, one pop and one
-  callback frame drain every delivery sharing a timestamp.  Buckets are
-  sealed exactly when a seq-consuming schedule lands on the same
-  timestamp, so the global (time, seq) order — and therefore every
-  frozen delivery digest — is byte-identical to the unbatched engine.
-* Bucket events and their argument lists, and the handle-free one-shot
-  events behind :meth:`after_call_once`, are drawn from free lists and
-  recycled on fire — the steady-state loop allocates ~nothing per event.
-  Events whose handles escape (``at`` / ``at_call``) are never recycled:
-  a retained handle may legally be cancelled or re-armed later, which
-  would hijack a recycled event.
+* Heap entries are plain ``(time, seq, fn, arg)`` tuples.  ``(time,
+  seq)`` is unique per entry, so every heap sift comparison resolves
+  inside the C tuple-compare loop without ever calling back into Python.
+* :meth:`Scheduler.post` is the datagram path: it pushes one plain entry
+  and returns no handle, so nothing but the tuple is built per event
+  and the run loop calls ``fn(arg)`` straight from the entry.
+* Cancellable events (``at`` / ``at_call`` / ``at_call_once`` /
+  ``rearm``) keep an :class:`_Event` handle in a *marked* entry
+  ``(time, seq, None, event)``; the handle carries the callback and the
+  cancelled flag.
+* Posts that tie on ``(time, fn)`` share a *bucket*: the first post is a
+  plain entry, the second opens one bucket entry ``(time, seq, None,
+  (fn, args))`` directly after it, and later ones append to ``args``.
+  A bucket is sealed the moment any other schedule consumes a seq on its
+  timestamp, or when it fires, so the global (time, seq) order — and
+  every frozen delivery digest — is exactly that of one entry per post.
+  A draining bucket is counted in ``events_processed`` as a whole when
+  it starts, and its callbacks run back to back from one pop.
+  Under jittered latency ties are rare and almost every post stays a
+  plain entry; under fixed latency a whole fan-out drains from one pop.
+* The handle-free one-shot events behind :meth:`after_call_once` are
+  drawn from a free list and recycled on fire.  Events whose handles
+  escape (``at`` / ``at_call``) are never recycled: a retained handle
+  may legally be cancelled or re-armed later, which would hijack a
+  recycled event.
 * :meth:`Scheduler.rearm` re-pushes a *fired* event object at a new time,
   so periodic timers reuse one event + handle for their whole life.
 * Cancellation stays lazy (O(1)), but the scheduler counts cancelled
-  events still sitting in the heap and compacts the heap when they exceed
-  :data:`COMPACT_MIN` *and* outnumber the live events — long churn runs
-  no longer accumulate dead heartbeat timers.
+  events still sitting in the heap and compacts the heap in place when
+  they exceed :data:`COMPACT_MIN` *and* outnumber the live entries — long
+  churn runs no longer accumulate dead heartbeat timers.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -52,26 +58,29 @@ class SimulationError(RuntimeError):
 
 _NO_ARG = object()  # sentinel: "call fn with no argument"
 
+_INF = float("inf")
+
 # Compact the heap when more than COMPACT_MIN cancelled events are queued
 # and they make up over half of the heap.
 COMPACT_MIN = 64
 
 
 class _Event:
-    """One scheduled callback.  Doubles as its own cancellation handle —
-    the object returned by ``at`` / ``at_call`` *is* the queued event.
+    """One cancellable scheduled callback.  Doubles as its own
+    cancellation handle — the object returned by ``at`` / ``at_call``
+    *is* the queued event, held in a marked heap entry.
 
     Cancellation is lazy: the event stays in the heap but is skipped when
     it reaches the front, which keeps cancellation O(1).  The scheduler
     tracks how many cancelled events are queued and compacts the heap
     when they dominate it.
 
-    ``once`` marks recyclable events (bucket events and
-    ``after_call_once`` one-shots): they return to the scheduler's free
-    list when they fire, so their handle must not be touched afterwards.
+    ``once`` marks recyclable ``after_call_once`` one-shots: they return
+    to the scheduler's free list when they fire, so their handle must
+    not be touched afterwards.
     """
 
-    __slots__ = ("time", "fn", "arg", "cancelled", "in_heap", "batch", "once", "_sched")
+    __slots__ = ("time", "fn", "arg", "cancelled", "in_heap", "once", "_sched")
 
     def __init__(
         self,
@@ -79,7 +88,6 @@ class _Event:
         time: float,
         fn: Callable,
         arg: Any,
-        batch: bool,
         once: bool,
     ) -> None:
         self._sched = sched
@@ -88,7 +96,6 @@ class _Event:
         self.arg = arg
         self.cancelled = False
         self.in_heap = True
-        self.batch = batch
         self.once = once
 
     def cancel(self) -> None:
@@ -119,23 +126,29 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        # Heap of (time, seq, event) tuples; (time, seq) is unique so the
-        # event object is never compared.
+        # Heap of (time, seq, fn, arg) entries; (time, seq) is unique so
+        # fn and arg are never compared.  fn is None in a marked entry,
+        # whose arg is an _Event handle or a (fn, args) tie bucket.
         self._heap: List[tuple] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._running = False
-        self._live = 0  # events queued and not cancelled
+        # pending = scheduled - processed - cancelled, where scheduled is
+        # every seq handed out plus every post that joined a bucket
+        # without one: no counter bump per fired event or plain post.
+        self._joined = 0
+        self._cancelled = 0
         self._cancelled_in_heap = 0  # lazily cancelled, awaiting pop/compact
-        # The open bucket (at_call_grouped) — at most one per scheduler,
-        # sealed by any same-timestamp seq assignment or by firing.
-        self._bucket: Optional[_Event] = None
-        self._bucket_time = -1.0
-        # Free lists + fresh-construction counters (the allocation probe
-        # in tools/perf_report.py reads alloc_stats).
+        # The last post's (time, fn) and its bucket, if one is open.  A
+        # later post matching both joins the tie; any other seq-consuming
+        # schedule on that timestamp, or the bucket firing, seals it.
+        self._tie_time = -1.0
+        self._tie_fn: Optional[Callable] = None
+        self._tie_args: Optional[list] = None
+        # One-shot free list + fresh-construction counters (the
+        # allocation probe in tools/perf_report.py reads alloc_stats).
         self._event_pool: List[_Event] = []
-        self._arg_pool: List[list] = []
         self._fresh_events = 0
         self._fresh_lists = 0
 
@@ -146,43 +159,89 @@ class Scheduler:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events that have fired.  Every call grouped
-        into a bucket counts as one event, exactly as if scheduled via
-        ``at_call`` — the batching is invisible to this counter."""
+        """Total number of events that have fired.  Every post held in a
+        tie bucket counts as one event; a bucket's posts are counted
+        together as it starts draining, so between run() calls the count
+        is exactly that of one entry per post."""
         return self._events_processed
 
     @property
     def pending(self) -> int:
         """Number of queued live events, excluding lazily cancelled ones.
 
-        O(1): maintained as a counter rather than scanned from the heap.
-        Each call held in an unfired bucket counts individually.
+        O(1): derived from counters rather than scanned from the heap.
+        Each post held in an unfired bucket counts individually.
         """
-        return self._live
+        return self._seq + self._joined - self._events_processed - self._cancelled
 
     @property
     def heap_size(self) -> int:
-        """Raw heap length, including lazily cancelled events.  A bucket
-        of grouped same-timestamp calls occupies a single entry."""
+        """Raw heap length, including lazily cancelled events.  A tie
+        bucket occupies a single entry however many posts it holds."""
         return len(self._heap)
 
     @property
     def alloc_stats(self) -> Dict[str, int]:
-        """Free-list telemetry: fresh constructions vs pooled capacity.
+        """Allocation telemetry beyond the per-entry heap tuple.
 
-        ``fresh_events`` / ``fresh_arg_lists`` only grow when a free list
-        is empty, so a steady-state window in which they stay flat is a
-        zero-allocation window — the probe in ``tools/perf_report.py``
-        measures exactly that delta.
+        ``fresh_events`` counts one-shot events built because the free
+        list was empty; ``fresh_arg_lists`` counts tie buckets opened (one
+        list each).  A steady-state window in which ``fresh_events``
+        stays flat recycles every one-shot — the probe in
+        ``tools/perf_report.py`` measures exactly that delta.
         """
         return {
             "fresh_events": self._fresh_events,
             "fresh_arg_lists": self._fresh_lists,
             "pooled_events": len(self._event_pool),
-            "pooled_arg_lists": len(self._arg_pool),
         }
 
     # -- scheduling ----------------------------------------------------------
+
+    def post(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at ``time`` with no handle: the cheapest
+        event there is, and the one every simulated datagram uses.
+
+        Posts cannot be cancelled.  A post tying with the previous one on
+        ``(time, fn)`` joins that tie's bucket instead of taking a heap
+        entry of its own (see the module notes); firing order and ``now``
+        are exactly those of one entry per post, and so are the counters
+        between run() calls.
+        """
+        if fn is self._tie_fn and time == self._tie_time:
+            args = self._tie_args
+            if args is not None:
+                # An open bucket has not fired, so its time is not past.
+                args.append(arg)
+                self._joined += 1
+                return
+            if time < self._now:
+                raise SimulationError(
+                    f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+                )
+            self._fresh_lists += 1
+            self._tie_args = args = [arg]
+            heappush(self._heap, (time, self._seq, None, (fn, args)))
+            self._seq += 1
+            return
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+            )
+        heappush(self._heap, (time, self._seq, fn, arg))
+        self._seq += 1
+        self._tie_time = time
+        self._tie_fn = fn
+        self._tie_args = None
+
+    def _push_event(self, event: _Event) -> None:
+        """Queue a handle in a marked entry, sealing any tie on its
+        timestamp (the entry takes a seq the tie's posts must precede)."""
+        time = event.time
+        if time == self._tie_time:
+            self._tie_fn = None
+        heappush(self._heap, (time, self._seq, None, event))
+        self._seq += 1
 
     def at(self, time: float, fn: Callable[[], None]) -> _Event:
         """Schedule ``fn`` to run at absolute simulated time ``time``."""
@@ -190,12 +249,8 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None  # seal: keep (time, seq) order exact
-        event = _Event(self, time, fn, _NO_ARG, False, False)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        self._live += 1
+        event = _Event(self, time, fn, _NO_ARG, False)
+        self._push_event(event)
         return event
 
     def after(self, delay: float, fn: Callable[[], None]) -> _Event:
@@ -205,26 +260,22 @@ class Scheduler:
         return self.at(self._now + delay, fn)
 
     def at_call(self, time: float, fn: Callable[[Any], None], arg: Any) -> _Event:
-        """Fast path: schedule ``fn(arg)`` at ``time``.
+        """Schedule ``fn(arg)`` at ``time`` and return a cancellable handle.
 
         Storing the argument on the event (instead of closing over it)
-        saves one closure allocation per event — the dominant allocation
-        in message-heavy runs.
+        saves one closure allocation per event.  Callers that never
+        cancel should use :meth:`post`.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
-        event = _Event(self, time, fn, arg, False, False)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        self._live += 1
+        event = _Event(self, time, fn, arg, False)
+        self._push_event(event)
         return event
 
     def after_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> _Event:
-        """Fast path: schedule ``fn(arg)`` to run ``delay`` from now."""
+        """Schedule ``fn(arg)`` to run ``delay`` from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.at_call(self._now + delay, fn, arg)
@@ -245,8 +296,6 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -255,13 +304,10 @@ class Scheduler:
             event.arg = arg
             event.cancelled = False
             event.in_heap = True
-            event.batch = False
         else:
             self._fresh_events += 1
-            event = _Event(self, time, fn, arg, False, True)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        self._live += 1
+            event = _Event(self, time, fn, arg, True)
+        self._push_event(event)
         return event
 
     def after_call_once(
@@ -272,62 +318,6 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.at_call_once(self._now + delay, fn, arg)
-
-    def at_call_grouped(
-        self, time: float, fn: Callable[[list], None], arg: Any, key: Any = None
-    ) -> None:
-        """Batch ``fn`` calls sharing a timestamp into one bucket event.
-
-        All ``at_call_grouped(time, fn, ...)`` calls landing on the open
-        bucket are drained by a *single* heap pop that invokes
-        ``fn(args)`` once with the list of arguments, in scheduling
-        order.  The bucket is sealed (subsequent grouped calls open a new
-        one) whenever exactness demands a fresh seq: any ``at`` /
-        ``at_call`` / ``rearm`` on the same timestamp, a grouped call
-        with a different ``fn``, or the bucket firing.  Sealing keeps the
-        global (time, seq) execution order identical to per-call
-        ``at_call`` scheduling — batching is pure mechanics, invisible
-        to fingerprints.
-
-        No handle is returned: grouped events cannot be cancelled, which
-        is what makes their bucket event and argument list recyclable.
-        ``fn`` must consume ``args`` synchronously and not retain the
-        list.  ``key`` is a locality hint ignored here (the sharded
-        scheduler routes on it).
-        """
-        bucket = self._bucket
-        if bucket is not None and self._bucket_time == time and bucket.fn is fn:
-            bucket.arg.append(arg)
-            self._live += 1
-            return
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
-            )
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.fn = fn
-            event.cancelled = False
-            event.in_heap = True
-            event.batch = True
-        else:
-            self._fresh_events += 1
-            event = _Event(self, time, fn, None, True, True)
-        arg_pool = self._arg_pool
-        if arg_pool:
-            args = arg_pool.pop()
-        else:
-            self._fresh_lists += 1
-            args = []
-        args.append(arg)
-        event.arg = args
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        self._live += 1
-        self._bucket = event
-        self._bucket_time = time
 
     def rearm(self, handle: _Event, delay: float) -> _Event:
         """Re-push a *fired* event at ``now + delay``, reusing its event
@@ -345,36 +335,32 @@ class Scheduler:
             raise SimulationError("cannot rearm an event that is still queued")
         if handle.once:
             raise SimulationError("cannot rearm a recycled one-shot event")
-        time = self._now + delay
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
-        handle.time = time
+        handle.time = self._now + delay
         handle.cancelled = False
         handle.in_heap = True
-        heapq.heappush(self._heap, (time, self._seq, handle))
-        self._seq += 1
-        self._live += 1
+        self._push_event(handle)
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
 
     def _note_cancelled(self) -> None:
-        self._live -= 1
+        self._cancelled += 1
         self._cancelled_in_heap += 1
         if (
             self._cancelled_in_heap > COMPACT_MIN
-            and self._cancelled_in_heap * 2 > len(self._heap)
+            and self._cancelled_in_heap * 2 > self.heap_size
         ):
             self._compact()
 
-    def _compact(self) -> None:
-        """Drop lazily cancelled events and re-heapify the survivors."""
+    def _drop_cancelled(self, heap: List[tuple]) -> None:
+        """Filter lazily cancelled handles out of ``heap`` in place (the
+        run loop keeps its reference to the list) and re-heapify."""
         live: List[tuple] = []
         append = live.append
         pool = self._event_pool
-        for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
+        for entry in heap:
+            event = entry[3]
+            if entry[2] is None and event.__class__ is _Event and event.cancelled:
                 event.in_heap = False
                 if event.once:
                     event.fn = None
@@ -382,61 +368,71 @@ class Scheduler:
                     pool.append(event)
             else:
                 append(entry)
-        self._heap = live
-        heapq.heapify(live)
+        heap[:] = live
+        heapify(heap)
+
+    def _compact(self) -> None:
+        """Drop lazily cancelled events and re-heapify the survivors."""
+        self._drop_cancelled(self._heap)
         self._cancelled_in_heap = 0
 
     # -- running -------------------------------------------------------------
 
-    def _dispatch(self, time: float, event: _Event) -> int:
-        """Fire one popped heap entry; returns how many events it counted
-        as (a bucket counts each grouped call).  Shared by step() and the
-        bounded run loop; the unbounded loop inlines the same logic."""
-        self._now = time
-        arg = event.arg
-        if event.batch:
-            if self._bucket is event:
-                self._bucket = None
-            n = len(arg)
+    def _fire_marked(self, time: float, arg: Any) -> int:
+        """Fire one marked entry's payload — a handle or a tie bucket —
+        and return how many events it counted as (0 for a cancelled
+        handle, which neither counts nor advances ``now``)."""
+        if arg.__class__ is tuple:
+            fn, args = arg
+            if args is self._tie_args:
+                self._tie_fn = None  # seal: the bucket is draining
+            self._now = time
+            # The whole bucket is counted as it starts draining, so its
+            # callbacks run without a counter bump each.
+            n = len(args)
             self._events_processed += n
-            self._live -= n
-            event.fn(arg)
-            arg.clear()
-            self._arg_pool.append(arg)
-            event.fn = None
-            event.arg = None
-            self._event_pool.append(event)
+            for a in args:
+                fn(a)
             return n
+        event = arg
+        event.in_heap = False
+        if event.cancelled:
+            self._cancelled_in_heap -= 1
+            if event.once:
+                event.fn = None
+                event.arg = None
+                self._event_pool.append(event)
+            return 0
+        self._now = time
         self._events_processed += 1
-        self._live -= 1
-        if arg is _NO_ARG:
+        a = event.arg
+        if a is _NO_ARG:
             event.fn()
         else:
-            event.fn(arg)
+            event.fn(a)
         if event.once:
             event.fn = None
             event.arg = None
             self._event_pool.append(event)
         return 1
 
+    def _fire(self, time: float, fn: Optional[Callable], arg: Any) -> int:
+        """Fire one popped entry (the run loop inlines the plain case)."""
+        if fn is None:
+            return self._fire_marked(time, arg)
+        self._now = time
+        self._events_processed += 1
+        fn(arg)
+        return 1
+
     def step(self) -> bool:
         """Fire the next event (an entire bucket counts as one step).
         Returns False when the queue is empty."""
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            entry = pop(heap)
-            event = entry[2]
-            event.in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                if event.once:
-                    event.fn = None
-                    event.arg = None
-                    self._event_pool.append(event)
-                continue
-            self._dispatch(entry[0], event)
-            return True
+            time, _, fn, arg = heappop(heap)
+            if self._fire(time, fn, arg):
+                return True
         return False
 
     def run(
@@ -457,74 +453,46 @@ class Scheduler:
         if self._running:
             raise SimulationError("scheduler re-entered from within an event")
         self._running = True
+        # Compaction filters the heap in place, so this reference stays
+        # valid across callbacks.
         heap = self._heap
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        event_pool = self._event_pool
-        arg_pool = self._arg_pool
+        pop = heappop
+        fire_marked = self._fire_marked
+        limit = _INF if until is None else until
         try:
-            if until is None and max_events is None:
-                # Hot unbounded loop: no bound checks per iteration.
+            if max_events is None:
+                # The hot loop: plain entries dispatch inline.  The entry
+                # past ``until`` is popped and pushed straight back — one
+                # extra push per run() call instead of a peek per event.
                 while heap:
                     entry = pop(heap)
-                    event = entry[2]
-                    if event.cancelled:
-                        event.in_heap = False
-                        self._cancelled_in_heap -= 1
-                        if event.once:
-                            event.fn = None
-                            event.arg = None
-                            event_pool.append(event)
+                    time, _, fn, arg = entry
+                    if time > limit:
+                        heappush(heap, entry)
+                        break
+                    if fn is None:
+                        fire_marked(time, arg)
                         continue
-                    event.in_heap = False
-                    self._now = entry[0]
-                    arg = event.arg
-                    if event.batch:
-                        if self._bucket is event:
-                            self._bucket = None
-                        self._events_processed += len(arg)
-                        self._live -= len(arg)
-                        event.fn(arg)
-                        arg.clear()
-                        arg_pool.append(arg)
-                        event.fn = None
-                        event.arg = None
-                        event_pool.append(event)
-                    else:
-                        self._events_processed += 1
-                        self._live -= 1
-                        if arg is no_arg:
-                            event.fn()
-                        else:
-                            event.fn(arg)
-                        if event.once:
-                            event.fn = None
-                            event.arg = None
-                            event_pool.append(event)
-                    # An event may cancel-and-compact, invalidating `heap`.
-                    heap = self._heap
-                return
-            fired = 0
-            while heap:
-                if max_events is not None and fired >= max_events:
-                    return
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    pop(heap)
-                    event.in_heap = False
-                    self._cancelled_in_heap -= 1
-                    if event.once:
-                        event.fn = None
-                        event.arg = None
-                        event_pool.append(event)
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                pop(heap)
-                event.in_heap = False
-                fired += self._dispatch(entry[0], event)
-                heap = self._heap
+                    self._now = time
+                    self._events_processed += 1
+                    fn(arg)
+            else:
+                fired = 0
+                while heap:
+                    if fired >= max_events:
+                        return
+                    entry = pop(heap)
+                    time, _, fn, arg = entry
+                    if time > limit:
+                        heappush(heap, entry)
+                        break
+                    if fn is None:
+                        fired += fire_marked(time, arg)
+                        continue
+                    self._now = time
+                    self._events_processed += 1
+                    fn(arg)
+                    fired += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:

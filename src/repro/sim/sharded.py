@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional
 from zlib import crc32
 
 from repro.sim.scheduler import (
-    COMPACT_MIN,
     Scheduler,
     SimulationError,
     _Event,
@@ -99,7 +98,6 @@ class ShardedScheduler(Scheduler):
         self._shard_key = params.shard_key or default_shard_key
         self._shard_cache: Dict[Any, int] = {}
         self._current = 0  # shard currently executing (0 when idle)
-        self._bucket_shard = -1
         # Lower bound on what any *other* shard may still execute; only
         # meaningful while running.  Stored as a heap entry so one tuple
         # compare checks it.
@@ -163,8 +161,6 @@ class ShardedScheduler(Scheduler):
             raise SimulationError(
                 f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
             )
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None  # seal: keep (time, seq) order exact
         if once:
             pool = self._event_pool
             if pool:
@@ -174,19 +170,33 @@ class ShardedScheduler(Scheduler):
                 event.arg = arg
                 event.cancelled = False
                 event.in_heap = True
-                event.batch = False
             else:
                 self._fresh_events += 1
-                event = _Event(self, time, fn, arg, False, True)
+                event = _Event(self, time, fn, arg, True)
         else:
-            event = _Event(self, time, fn, arg, False, False)
-        entry = (time, self._seq, event)
+            event = _Event(self, time, fn, arg, False)
+        self._push(shard, time, None, event)
+        return event
+
+    def _push(self, shard: int, time: float, fn: Any, arg: Any) -> None:
+        entry = (time, self._seq, fn, arg)
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heaps[shard], entry)
         if self._running and shard != self._current and entry < self._bound:
             self._bound = entry
-        return event
+
+    def post(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Handle-free post (see :meth:`Scheduler.post`) routed to the
+        home shard of ``arg.dst`` — the network posts envelopes, so each
+        delivery runs on its destination's shard.  Posts are never
+        bucketed here: each takes its own entry."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
+            )
+        dst = getattr(arg, "dst", None)
+        shard = self._current if dst is None else self._shard_of(dst)
+        self._push(shard, time, fn, arg)
 
     def at(self, time: float, fn: Callable[[], None]) -> _Event:
         return self._schedule(time, fn, _NO_ARG, False, self._current)
@@ -219,56 +229,6 @@ class ShardedScheduler(Scheduler):
             self._now + delay, fn, arg, True, self._shard_of(key)
         )
 
-    def at_call_grouped(
-        self, time: float, fn: Callable[[list], None], arg: Any, key: Any = None
-    ) -> None:
-        """Bucketed batching (see :meth:`Scheduler.at_call_grouped`) with
-        shard routing: a bucket lives on one shard, so grouped calls for
-        a different shard seal it and open their own."""
-        shard = self._current if key is None else self._shard_of(key)
-        bucket = self._bucket
-        if (
-            bucket is not None
-            and self._bucket_time == time
-            and bucket.fn is fn
-            and self._bucket_shard == shard
-        ):
-            bucket.arg.append(arg)
-            self._live += 1
-            return
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f} < now {self._now:.6f}"
-            )
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.fn = fn
-            event.cancelled = False
-            event.in_heap = True
-            event.batch = True
-        else:
-            self._fresh_events += 1
-            event = _Event(self, time, fn, None, True, True)
-        arg_pool = self._arg_pool
-        if arg_pool:
-            args = arg_pool.pop()
-        else:
-            self._fresh_lists += 1
-            args = []
-        args.append(arg)
-        event.arg = args
-        entry = (time, self._seq, event)
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heaps[shard], entry)
-        if self._running and shard != self._current and entry < self._bound:
-            self._bound = entry
-        self._bucket = event
-        self._bucket_time = time
-        self._bucket_shard = shard
-
     def rearm(self, handle: _Event, delay: float) -> _Event:
         """Re-push a fired event into the executing shard (a timer fires
         on its home shard, so re-arming keeps it there)."""
@@ -279,80 +239,46 @@ class ShardedScheduler(Scheduler):
         if handle.once:
             raise SimulationError("cannot rearm a recycled one-shot event")
         time = self._now + delay
-        if self._bucket is not None and self._bucket_time == time:
-            self._bucket = None
         handle.time = time
         handle.cancelled = False
         handle.in_heap = True
-        heapq.heappush(self._heaps[self._current], (time, self._seq, handle))
-        self._seq += 1
-        self._live += 1
+        self._push(self._current, time, None, handle)
         return handle
 
     # -- cancellation bookkeeping --------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._cancelled_in_heap += 1
-        if (
-            self._cancelled_in_heap > COMPACT_MIN
-            and self._cancelled_in_heap * 2 > self.heap_size
-        ):
-            self._compact()
-
     def _compact(self) -> None:
-        pool = self._event_pool
-        heaps = self._heaps
-        for i in range(self._nshards):
-            # Amortised: compaction runs only when cancelled events
-            # dominate the heaps, not per event.
-            live: List[tuple] = []
-            append = live.append
-            for entry in heaps[i]:
-                event = entry[2]
-                if event.cancelled:
-                    event.in_heap = False
-                    if event.once:
-                        event.fn = None
-                        event.arg = None
-                        pool.append(event)
-                else:
-                    append(entry)
-            heapq.heapify(live)
-            heaps[i] = live
+        # Amortised: compaction runs only when cancelled events dominate
+        # the heaps, not per event.  Each shard heap is filtered in place.
+        for heap in self._heaps:
+            self._drop_cancelled(heap)
         self._cancelled_in_heap = 0
 
     # -- running -------------------------------------------------------------
 
+    def _min_shard(self) -> int:
+        """The shard whose head is the global minimum, or -1 if idle."""
+        current = -1
+        best = None
+        for i, heap in enumerate(self._heaps):
+            if heap:
+                entry = heap[0]
+                if best is None or entry < best:
+                    best = entry
+                    current = i
+        return current
+
     def step(self) -> bool:
         """Fire the globally next event (canonical order), regardless of
-        shard.  A whole bucket counts as one step."""
-        heaps = self._heaps
+        shard."""
         while True:
-            current = -1
-            best = None
-            for i in range(self._nshards):
-                heap = heaps[i]
-                if heap:
-                    entry = heap[0]
-                    if best is None or entry < best:
-                        best = entry
-                        current = i
+            current = self._min_shard()
             if current < 0:
                 return False
-            entry = heapq.heappop(heaps[current])
-            event = entry[2]
-            event.in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                if event.once:
-                    event.fn = None
-                    event.arg = None
-                    self._event_pool.append(event)
-                continue
+            time, _, fn, arg = heapq.heappop(self._heaps[current])
             self._current = current
-            self._dispatch(entry[0], event)
-            return True
+            if self._fire(time, fn, arg):
+                return True
 
     def run(
         self,
@@ -365,22 +291,15 @@ class ShardedScheduler(Scheduler):
         heaps = self._heaps
         nshards = self._nshards
         pop = heapq.heappop
+        fire = self._fire
         limit = (_INF, 0, None) if until is None else (until, _INF, None)
         fired = 0
         try:
             while True:
                 # The globally minimal head picks the next burst's shard —
                 # this IS the canonical merge order.
-                current = -1
-                best = None
-                for i in range(nshards):
-                    heap = heaps[i]
-                    if heap:
-                        entry = heap[0]
-                        if best is None or entry < best:
-                            best = entry
-                            current = i
-                if current < 0 or not best < limit:
+                current = self._min_shard()
+                if current < 0 or not heaps[current][0] < limit:
                     break
                 # Conservative lower bound: the burst may not run past
                 # any other shard's head (or `until`).  Inserts into
@@ -394,26 +313,15 @@ class ShardedScheduler(Scheduler):
                 self._bound = bound
                 self._current = current
                 self._switches += 1
-                while True:
-                    heap = heaps[current]  # compaction may swap the list
-                    if not heap:
-                        break
+                heap = heaps[current]
+                while heap:
                     entry = heap[0]
                     if not entry < self._bound:
                         break
                     if max_events is not None and fired >= max_events:
                         return
                     pop(heap)
-                    event = entry[2]
-                    event.in_heap = False
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        if event.once:
-                            event.fn = None
-                            event.arg = None
-                            self._event_pool.append(event)
-                        continue
-                    fired += self._dispatch(entry[0], event)
+                    fired += fire(entry[0], entry[2], entry[3])
             if until is not None and until > self._now:
                 self._now = until
         finally:

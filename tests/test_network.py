@@ -1,6 +1,6 @@
 """Unit tests for the simulated datagram network."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -239,3 +239,101 @@ def test_tap_removal():
     sched.run()
     # only the first send (and its delivery may occur after removal)
     assert events.count("send") == 1
+
+
+# -- one send path: a multicast is k unicasts ----------------------------------
+
+
+def _mcast_run(use_multicast, hardware=False, pack=False, drop=0.0, dup=0.0,
+               partition=False):
+    from repro.metrics.digest import DeliveryDigest
+
+    sched = Scheduler()
+    net = Network(
+        sched,
+        SimRandom(3),
+        latency=LanLatency(),
+        drop_probability=drop,
+        duplicate_probability=dup,
+        hardware_multicast=hardware,
+        pack_window=0.0004 if pack else 0.0,
+    )
+    digest = DeliveryDigest(net)
+    taps = []
+    net.add_tap(
+        lambda kind, env: taps.append(
+            (kind, env.src, env.dst, env.payload.n, env.send_time,
+             env.deliver_time)
+        )
+    )
+    for name in "abcde":
+        net.register(name, collector([]))
+    if partition:
+        net.partitions.partition({"a", "b", "c"}, {"d", "e"})
+    dsts = ["b", "c", "d", "e", "ghost"]
+    for i in range(40):
+        if use_multicast:
+            net.multicast("a", dsts, Ping(i))
+        else:
+            for dst in dsts:
+                net.send("a", dst, Ping(i))
+        sched.run_for(0.0003)
+    sched.run()
+    return net.stats.snapshot(), digest.hexdigest(), taps
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {},
+        {"drop": 0.3},
+        {"dup": 0.3},
+        {"partition": True},
+        {"pack": True},
+        {"pack": True, "drop": 0.2, "dup": 0.2},
+        {"drop": 0.2, "dup": 0.2, "partition": True},
+    ],
+    ids=["plain", "drop", "dup", "partition", "packer", "packer-lossy",
+         "lossy-partition"],
+)
+def test_multicast_matches_k_unicasts(case):
+    """A multicast to k destinations is exactly k unicasts: the same
+    stats, the same deliveries at the same times (digest) and the same
+    tap stream, RNG draws included."""
+    multi = _mcast_run(True, **case)
+    uni = _mcast_run(False, **case)
+    assert multi == uni
+    stats, _digest, taps = multi
+    assert stats.messages == 200
+    assert any(kind == "deliver" for kind, *_ in taps)
+
+
+@pytest.mark.parametrize("case", [{}, {"drop": 0.3, "dup": 0.3},
+                                  {"partition": True}])
+def test_hardware_multicast_is_the_same_path_with_one_wire_packet(case):
+    """Hardware multicast differs from k point-to-point unicasts only in
+    wire packets: one per call that put any copy in flight."""
+    multi_stats, multi_digest, multi_taps = _mcast_run(
+        True, hardware=True, **case
+    )
+    uni_stats, uni_digest, uni_taps = _mcast_run(False, **case)
+    assert multi_digest == uni_digest
+    assert multi_taps == uni_taps
+    assert multi_stats.wire_packets == 40
+    assert uni_stats.wire_packets == 200
+    assert replace(multi_stats, wire_packets=0) == replace(
+        uni_stats, wire_packets=0
+    )
+
+
+def test_lan_latency_jitter_matches_random_uniform():
+    """The precomputed jitter draw gives exactly the float that
+    ``nominal * uniform(1 - jitter, 1 + jitter)`` gives."""
+    for jitter in (0.2, 0.35):
+        lat = LanLatency(jitter=jitter)
+        mine, reference = SimRandom(5), SimRandom(5)
+        for size in (0, 32, 1500):
+            nominal = lat.base + lat.per_byte * size
+            for _ in range(200):
+                expected = nominal * reference.uniform(1.0 - jitter, 1.0 + jitter)
+                assert lat.sample(mine, "a", "b", size) == expected

@@ -390,3 +390,245 @@ def test_property_cancellation_removes_exactly_cancelled(events):
             handle.cancel()
     sched.run()
     assert fired == [i for _, i in sorted(expected, key=lambda p: (p[0], p[1]))]
+
+
+# -- handle-free posts and tie buckets ----------------------------------------
+
+
+def test_post_fires_in_fifo_order_with_handles():
+    sched = Scheduler()
+    fired = []
+    sched.post(1.0, fired.append, "a")
+    sched.at_call(1.0, fired.append, "b")
+    sched.post(0.5, fired.append, "c")
+    sched.post(1.0, fired.append, "d")
+    sched.run()
+    assert fired == ["c", "a", "b", "d"]
+    assert sched.events_processed == 4
+    assert sched.pending == 0
+
+
+def test_post_in_the_past_rejected():
+    sched = Scheduler()
+    sched.post(1.0, lambda _arg: None, None)
+    sched.run()
+    with pytest.raises(SimulationError):
+        sched.post(0.5, lambda _arg: None, None)
+
+
+def test_tie_interrupted_by_at_call_at_same_time():
+    """A same-time at_call seals the open bucket: later posts on the tie
+    open a new plain entry and bucket after it, never join the old one."""
+    sched = Scheduler()
+    fired = []
+    other = []
+    add = fired.append  # ties match on the callable's identity
+    sched.post(1.0, add, "a")
+    sched.post(1.0, add, "b")  # opens the bucket
+    sched.post(1.0, add, "c")  # joins it
+    sched.at_call(1.0, add, "x")  # seals it
+    sched.post(1.0, add, "d")  # a fresh plain entry
+    sched.post(1.0, add, "e")  # a fresh bucket
+    sched.post(1.0, other.append, "f")  # another fn: its own entry
+    assert sched.pending == 7
+    # a, bucket(b, c), x, d, bucket(e), f
+    assert sched.heap_size == 6
+    assert sched.alloc_stats["fresh_arg_lists"] == 2
+    sched.run()
+    assert fired == ["a", "b", "c", "x", "d", "e"]
+    assert other == ["f"]
+    assert sched.events_processed == 7
+
+
+def test_same_time_post_from_inside_draining_bucket():
+    """A post made while a bucket drains lands after everything already
+    queued at that time (here the at_call scheduled just before it), not
+    in the bucket being drained."""
+    sched = Scheduler()
+    fired = []
+    seen = []
+
+    def fn(arg):
+        fired.append(arg)
+        seen.append((sched.events_processed, sched.pending))
+        if arg == "b":
+            sched.at_call(sched.now, fired.append, "x")
+            sched.post(sched.now, fn, "b2")
+
+    for arg in ("a", "b", "c"):
+        sched.post(1.0, fn, arg)
+    sched.run()
+    assert fired == ["a", "b", "c", "x", "b2"]
+    # The bucket (b, c) is counted as a whole when it starts draining.
+    assert seen == [(1, 2), (3, 0), (3, 2), (5, 0)]
+    assert sched.events_processed == 5
+
+
+def test_bounded_run_stops_before_later_posts():
+    sched = Scheduler()
+    fired = []
+    for t in (1.0, 1.0, 2.0, 2.0, 3.0):
+        sched.post(t, fired.append, t)
+    sched.run(until=2.0)
+    assert fired == [1.0, 1.0, 2.0, 2.0]
+    assert sched.now == 2.0
+    assert sched.pending == 1
+    sched.run(max_events=1)
+    assert fired[-1] == 3.0
+    assert sched.pending == 0
+
+
+# Reference model for the property test below: every event is a record
+# in a plain list, the next one found by a linear scan for the least
+# (time, seq).  No heap, no buckets, no pooling.
+
+
+class _RefHandle:
+    def __init__(self, queue, time, fn, arg):
+        self.queue = queue
+        self.time = time
+        self.seq = queue.next_seq()
+        self.fn = fn
+        self.arg = arg
+
+    def cancel(self):
+        if self in self.queue.items:
+            self.queue.items.remove(self)
+
+
+class _RefQueue:
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.items = []
+        self.events_processed = 0
+
+    @property
+    def pending(self):
+        return len(self.items)
+
+    def next_seq(self):
+        self.seq += 1
+        return self.seq
+
+    def _push(self, time, fn, arg):
+        handle = _RefHandle(self, time, fn, arg)
+        self.items.append(handle)
+        return handle
+
+    def post(self, time, fn, arg):
+        self._push(time, fn, arg)
+
+    def at(self, time, fn):
+        return self._push(time, lambda _arg: fn(), None)
+
+    def at_call(self, time, fn, arg):
+        return self._push(time, fn, arg)
+
+    at_call_once = at_call
+
+    def rearm(self, handle, delay):
+        handle.time = self.now + delay
+        handle.seq = self.next_seq()
+        self.items.append(handle)
+        return handle
+
+    def run(self, until=None):
+        while self.items:
+            head = min(self.items, key=lambda h: (h.time, h.seq))
+            if until is not None and head.time > until:
+                break
+            self.items.remove(head)
+            self.now = head.time
+            self.events_processed += 1
+            head.fn(head.arg)
+        if until is not None and until > self.now:
+            self.now = until
+
+
+_EVENT_LIMIT = 60
+_OP = st.tuples(
+    st.sampled_from(("post", "post", "at", "at_call", "once", "cancel", "rearm")),
+    st.sampled_from((1.0, 2.0)),  # top-level base time: forces collisions
+    st.integers(0, 1),  # which of two callbacks (ties match on identity)
+    st.sampled_from((0.0, 0.5)),  # offset from the base (or from now)
+    st.integers(0, 50),  # cancel target
+)
+
+
+def _drive(sched, program):
+    """Run ``program`` on ``sched``; return everything observable."""
+    top, follow_ups = program
+    log = []
+    handles = {}
+    live = []  # cancellable, unfired events, in creation order
+    once = set()
+    rearmed = set()
+    created = [0]
+
+    def fire(idx):
+        log.append((idx, sched.now))
+        if idx in live:
+            live.remove(idx)
+        for op in follow_ups[idx % len(follow_ups)]:
+            apply(op, sched.now, idx)
+
+    def fire_other(idx):
+        fire(idx)
+
+    fns = (fire, fire_other)
+
+    def apply(op, base, current):
+        kind, _slot, which, offset, pick = op
+        if kind == "cancel":
+            if live:
+                idx = live.pop(pick % len(live))
+                handles[idx].cancel()
+            return
+        if kind == "rearm":
+            handle = handles.get(current)
+            if handle is not None and current not in once | rearmed:
+                rearmed.add(current)
+                sched.rearm(handle, offset)
+                live.append(current)
+            return
+        if created[0] >= _EVENT_LIMIT:
+            return
+        idx = created[0]
+        created[0] += 1
+        time = base + offset
+        fn = fns[which]
+        if kind == "post":
+            sched.post(time, fn, idx)
+            return
+        if kind == "at":
+            handles[idx] = sched.at(time, lambda fn=fn, idx=idx: fn(idx))
+        elif kind == "at_call":
+            handles[idx] = sched.at_call(time, fn, idx)
+        else:
+            handles[idx] = sched.at_call_once(time, fn, idx)
+            once.add(idx)
+        live.append(idx)
+
+    for op in top:
+        apply(op, op[1], None)
+    counters = []
+    for until in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, None):
+        sched.run(until=until)
+        counters.append((sched.now, sched.events_processed, sched.pending))
+    return log, counters
+
+
+@given(
+    st.tuples(
+        st.lists(_OP, min_size=1, max_size=30),
+        st.lists(st.lists(_OP, max_size=3), min_size=1, max_size=6),
+    )
+)
+def test_property_posts_and_handles_match_reference_queue(program):
+    """Random interleavings of post, at, at_call, at_call_once, cancel and
+    rearm on colliding timestamps — issued up front and from inside
+    callbacks, bucket drains included — fire in the reference order at
+    the same ``now``, and every bounded run ends with the same
+    events_processed, pending and now."""
+    assert _drive(Scheduler(), program) == _drive(_RefQueue(), program)

@@ -178,3 +178,33 @@ def test_broadcast_with_crashed_leaf_times_out_but_covers_rest():
     for p in live:
         assert [payload for _b, payload in p.delivered] == ["partial"]
     assert root.completed
+
+
+def test_atomic_commit_is_handled_once_per_participant():
+    """Regression: a relay coordinates its own first leaf target, so its
+    commit forward reaches itself.  Each participant handles a broadcast
+    id's commit once — the commit count stops growing right after the
+    commit, and every placed member delivers exactly once."""
+    env = Environment(seed=1, latency=FixedLatency(0.002))
+    params = LargeGroupParams(resiliency=2, fanout=2)
+    leaders = build_leader_group(env, "svc", params)
+    contacts = tuple(r.node.address for r in leaders)
+    members = build_large_group(
+        env, "svc", 16, params, contacts, join_stagger=0.05
+    )
+    participants = attach_treecast(members, resiliency=2)
+    roots = [TreecastRoot(r) for r in leaders]
+    env.run_for(3.0)
+    root = next(r for r in roots if r.replica.is_manager)
+    assert root.replica.state.depth() >= 3
+    root.broadcast("once", atomic=True)
+    env.run_for(1.0)
+    assert root.completed and root.completed[0]["committed"]
+    commits = env.network.stats.by_category.get("treecast-commit", 0)
+    assert commits > 0
+    env.run_for(1.0)
+    assert env.network.stats.by_category.get("treecast-commit", 0) == commits
+    placed = [p for p in participants if p.member.is_member]
+    assert placed
+    for p in placed:
+        assert [payload for _bid, payload in p.delivered] == ["once"]

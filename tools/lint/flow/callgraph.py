@@ -46,7 +46,7 @@ CALLBACK_REGISTRARS = {
     "after_call_once",
     "after_call_keyed",
     "after_call_keyed_once",
-    "at_call_grouped",
+    "post",
     "call_at",
     "call_later",
     "call_soon",

@@ -81,7 +81,7 @@ SCHED_SINKS = {
     "after_call_once": 0,
     "after_call_keyed": 0,
     "after_call_keyed_once": 0,
-    "at_call_grouped": 0,
+    "post": 0,
     "call_at": 0,
     "call_later": 0,
     "set_timer": 0,

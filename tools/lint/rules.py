@@ -687,7 +687,7 @@ class HotLoopAllocationRule(Rule):
     title = "per-event allocation escaping an event-core hot loop"
     hint = (
         "hoist the allocation out of the loop or draw from a free list "
-        "(self._event_pool / self._arg_pool / self._env_pool); if the "
+        "(self._event_pool / self._env_pool); if the "
         "escape is deliberately amortised (compaction, setup), "
         "disable RL011 on that line"
     )

@@ -193,9 +193,10 @@ def _fingerprint(env: Environment, digest: Optional[DeliveryDigest]) -> Dict:
 
 
 def _fresh_allocs(env: Environment) -> Optional[int]:
-    """Total fresh (non-pooled) constructions so far: scheduler events +
-    arg lists + network envelopes.  None when the engine has no free-list
-    telemetry (the asyncio runtime)."""
+    """Total fresh constructions so far: one-shot scheduler events built
+    with an empty free list + tie buckets opened + network envelopes.
+    None when the engine has no free-list telemetry (the asyncio
+    runtime)."""
     sched_stats = getattr(env.scheduler, "alloc_stats", None)
     if sched_stats is None:
         return None
@@ -209,11 +210,12 @@ def _fresh_allocs(env: Environment) -> Optional[int]:
 def _timed_run(env: Environment, duration: float) -> Dict:
     """Run ``duration`` sim seconds under the wall clock and report.
 
-    ``allocs`` is the window's delta of fresh event/arg-list/envelope
-    constructions — the zero-allocation discipline's probe.  In a warm
-    steady state the free lists satisfy every request, so this should be
-    ~0 regardless of how many events fire (``allocs_per_1k_events``
-    normalises it for comparison across scenario sizes)."""
+    ``allocs`` is the window's delta of fresh one-shot events, tie
+    buckets and envelopes — the free-list discipline's probe.  In a warm
+    steady state the free lists satisfy every one-shot and envelope, so
+    what remains is one list per tie bucket: about one per distinct
+    delivery timestamp under fixed latency, ~0 under jitter
+    (``allocs_per_1k_events`` normalises it across scenario sizes)."""
     watch = _HeapWatch(env.scheduler)
     before_events = env.scheduler.events_processed
     before_allocs = _fresh_allocs(env)
